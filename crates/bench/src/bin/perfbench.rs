@@ -3,10 +3,10 @@
 //!
 //! Times each optimized hot-path layer (cache access, DRAM
 //! activate+disturb, the epoch-skipping closed forms, platform step,
-//! full detector window) and the end-to-end soak workload — serial and
-//! fanned through [`anvil_bench::run_cells`] — then writes
-//! `results/BENCH_hotpath.json` so later PRs can compare against this
-//! PR's numbers instead of re-deriving them.
+//! full detector window, fleet domain window) and the end-to-end soak
+//! workload — serial and fanned through [`anvil_bench::run_cells`] —
+//! then writes `results/BENCH_hotpath.json` so later changes can compare
+//! against its numbers instead of re-deriving them.
 //!
 //! The end-to-end headline is the **benign-dominated soak cell** under
 //! the event-driven engine: no adversary pacing, so nearly every window
@@ -42,6 +42,7 @@ use anvil_dram::{
     BankId, DisturbanceConfig, DisturbanceTracker, DramConfig, DramModule, DramTiming,
     RefreshSchedule, RowId,
 };
+use anvil_fleet::{run_machine, FleetConfig};
 use anvil_runtime::{install_quiet_panic_hook, soak, Engine, SoakConfig, SoakSummary};
 use anvil_workloads::SpecBenchmark;
 use serde_json::json;
@@ -265,12 +266,24 @@ fn main() {
         p.run_ms(black_box(6.0)).expect("window completes");
     });
 
+    // Fleet: whole `FleetConfig::standard` machines (hardened detectors,
+    // supervisors, checkpoints, correlated faults) over a fixed machine
+    // set, reported per domain window.
+    let fleet_cfg = FleetConfig::standard(1, 200, 1);
+    let machines = if args.quick { 12 } else { 48 };
+    let start = Instant::now();
+    for machine in 0..machines {
+        black_box(run_machine(&fleet_cfg, machine));
+    }
+    let fleet_window_us = start.elapsed().as_secs_f64() * 1e6
+        / (machines * fleet_cfg.windows * u64::from(fleet_cfg.topology.domains())) as f64;
+
     eprintln!(
         "  cache hot {cache_hot:.1} ns (epoch {cache_epoch:.1} ns/call), \
          streaming {cache_streaming:.1} ns; \
          dram hammer {dram_hammer:.1} ns, sweep {dram_sweep:.1} ns, \
          epoch {dram_epoch:.3} ns vs per-op {dram_epoch_per_op:.1} ns; \
-         step {step:.1} ns, window {:.1} us",
+         step {step:.1} ns, window {:.1} us; fleet domain window {fleet_window_us:.1} us",
         window / 1e3
     );
 
@@ -312,6 +325,7 @@ fn main() {
         "engine": "event",
         "serial_windows_per_sec": round1(serial),
         "parallel_windows_per_sec": round1(parallel),
+        "fleet_domain_window_us": round1(fleet_window_us),
     }));
 
     write_json(
@@ -327,6 +341,7 @@ fn main() {
                 "dram_activate_disturb_sweep": round1(dram_sweep),
                 "platform_step": round1(step),
                 "detector_window_us": round1(window / 1e3),
+                "fleet_domain_window_us": round1(fleet_window_us),
                 "epoch_skip": {
                     "epoch_ops": EPOCH_OPS,
                     "cache_charge_epoch_call": round3(cache_epoch),

@@ -12,7 +12,7 @@ use crate::config::AnvilConfig;
 use crate::epoch::{QuietCheckpoint, QuietShadow};
 use crate::error::{ConfigError, RuntimeError};
 use crate::guard::{GuardMode, GuardedCell, GuardedValue, StateCorruption, StateSite};
-use crate::locality::{analyze_with_ledger, LocalityReport, RowSample, SuspicionLedger};
+use crate::locality::{analyze_with_ledger, LedgerRow, LocalityReport, RowSample, SuspicionLedger};
 use crate::transition;
 use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramLocation, RowId};
 use anvil_pmu::{DataSource, EventKind, Pmu, SampleFilter, SampleRecord};
@@ -977,6 +977,22 @@ impl AnvilDetector {
     /// PEBS buffer are volatile hardware state and are deliberately not
     /// captured; the sampler's *programmed* jitter-stream position is.
     pub fn checkpoint(&self, pmu: &Pmu) -> DetectorCheckpoint {
+        self.snapshot(pmu, Vec::new())
+    }
+
+    /// Overwrites `ckpt` with the snapshot [`checkpoint`](Self::checkpoint)
+    /// returns, reusing its ledger-row allocations. The supervisor
+    /// refreshes its stored clean checkpoint this way, so a write costs
+    /// no allocation for rows whose pid sets fit the previous snapshot.
+    pub fn checkpoint_into(&self, pmu: &Pmu, ckpt: &mut DetectorCheckpoint) {
+        *ckpt = self.snapshot(pmu, std::mem::take(&mut ckpt.ledger));
+    }
+
+    /// The one snapshot body behind [`checkpoint`](Self::checkpoint) and
+    /// [`checkpoint_into`](Self::checkpoint_into): the ledger is written
+    /// into `rows`, whatever it held before.
+    fn snapshot(&self, pmu: &Pmu, mut rows: Vec<LedgerRow>) -> DetectorCheckpoint {
+        self.ledger.to_rows_into(&mut rows);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,
@@ -988,7 +1004,7 @@ impl AnvilDetector {
             phase_state: read_cell(self.guard, &self.phase_state),
             window_scale: read_cell(self.guard, &self.window_scale),
             pebs_jitter: pmu.sampler().jitter_state(),
-            ledger: self.ledger.to_rows(),
+            ledger: rows,
             resamples: read_cell(self.guard, &self.resamples),
         }
     }
@@ -1558,6 +1574,51 @@ mod tests {
         // And the encoded form round-trips byte-for-byte.
         let decoded = DetectorCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
         assert_eq!(decoded, ckpt);
+    }
+
+    /// The supervisor refreshes one stored snapshot in place. Across
+    /// windows where the ledger grows, empties, loses rows from the
+    /// middle and changes pid sets, the refreshed snapshot must equal a
+    /// fresh one, bytes included: no stale row or pid survives the reuse.
+    #[test]
+    fn checkpoint_into_refreshes_a_reused_snapshot_exactly() {
+        let row = |bank: u32, row: u32, score: f64, pids: &[u32]| LedgerRow {
+            row: RowId::new(BankId(bank), row),
+            score,
+            windows: u64::from(row),
+            pids: pids.to_vec(),
+        };
+        let ledgers = [
+            vec![row(0, 10, 5.0, &[1]), row(0, 12, 7.5, &[1, 2])],
+            vec![
+                row(0, 10, 6.0, &[1, 9, 10]),
+                row(0, 12, 8.0, &[2]),
+                row(1, 4, 2.0, &[3, 4, 5]),
+                row(2, 8, 1.5, &[]),
+            ],
+            vec![],
+            vec![row(3, 1, 9.0, &[7])],
+            vec![
+                row(0, 10, 6.0, &[1]),
+                row(0, 12, 8.0, &[2, 3]),
+                row(1, 4, 2.0, &[4]),
+                row(2, 8, 1.5, &[5, 6]),
+            ],
+            vec![row(0, 10, 4.0, &[8, 9, 10, 11]), row(2, 8, 1.25, &[])],
+        ];
+        let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+        let mut det = AnvilDetector::new(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu);
+        let mut snapshot = det.checkpoint(&pmu);
+        for (i, rows) in ledgers.iter().enumerate() {
+            // A window between refreshes moves the scalar state as well.
+            feed_and_service(&mut det, &mut pmu, 15_000 + 5_000 * i as u64);
+            det.ledger = SuspicionLedger::from_rows(rows);
+            det.checkpoint_into(&pmu, &mut snapshot);
+            let fresh = det.checkpoint(&pmu);
+            assert_eq!(snapshot.ledger, *rows, "refresh {i}");
+            assert_eq!(snapshot, fresh, "refresh {i}");
+            assert_eq!(snapshot.to_bytes(), fresh.to_bytes(), "refresh {i}");
+        }
     }
 
     #[test]

@@ -160,10 +160,27 @@ pub const REPLICAS: usize = 3;
 /// exactly the way a disturbance-induced charge leak would, so the same
 /// cell is exercised by the software injector, the physical row map in
 /// `anvil-mem`, and the proptests.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The cell remembers whether it is *sealed*: every replica holds the same
+/// word under a verifying checksum. [`new`](Self::new),
+/// [`store`](Self::store) and [`scrub`](Self::scrub) establish that, and
+/// only [`corrupt`](Self::corrupt) can break it — the replicas are private,
+/// so nothing else changes them without resealing. While sealed, reads,
+/// [`clean`](Self::clean) and scrubs answer from replica 0 without
+/// re-hashing, which is exactly what the full verification would conclude.
+#[derive(Debug, Clone)]
 pub struct GuardedCell<T: GuardedValue> {
     replicas: [Replica; REPLICAS],
+    sealed: bool,
     _value: std::marker::PhantomData<T>,
+}
+
+/// Cell equality compares the stored replicas only; the sealed flag is a
+/// cache of what verification would find.
+impl<T: GuardedValue> PartialEq for GuardedCell<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.replicas == other.replicas
+    }
 }
 
 impl<T: GuardedValue> GuardedCell<T> {
@@ -172,35 +189,45 @@ impl<T: GuardedValue> GuardedCell<T> {
         let r = Replica::sealed(value.encode());
         GuardedCell {
             replicas: [r; REPLICAS],
+            sealed: true,
             _value: std::marker::PhantomData,
         }
     }
 
+    /// The words of the replicas whose checksums verify, in replica
+    /// order: `(buffer, count)`.
+    fn valid_words(&self) -> ([u64; REPLICAS], usize) {
+        let mut words = [0; REPLICAS];
+        let mut n = 0;
+        for r in self.replicas.iter().filter(|r| r.valid()) {
+            words[n] = r.word;
+            n += 1;
+        }
+        (words, n)
+    }
+
     /// The consensus word without mutating anything: the majority word
-    /// among replicas whose checksums verify, falling back to a majority
-    /// of raw words, then to replica 0. A single flipped replica never
-    /// changes the result.
-    fn consensus(&self) -> u64 {
-        let valid: Vec<u64> = self
-            .replicas
-            .iter()
-            .filter(|r| r.valid())
-            .map(|r| r.word)
-            .collect();
-        if let Some(word) = majority(&valid) {
+    /// among replicas whose checksums verify (`valid`), falling back to
+    /// the first of them, then to a majority of raw words, then to
+    /// replica 0. A single flipped replica never changes the result.
+    fn consensus(&self, valid: &[u64]) -> u64 {
+        if let Some(word) = majority(valid) {
             return word;
         }
         if let Some(&word) = valid.first() {
             return word;
         }
-        let raw: Vec<u64> = self.replicas.iter().map(|r| r.word).collect();
-        majority(&raw).unwrap_or(self.replicas[0].word)
+        majority(&self.replicas.map(|r| r.word)).unwrap_or(self.replicas[0].word)
     }
 
     /// Majority-decoded read (guarded mode). Never mutates: repair is the
     /// scrubber's job, so `&self` accessors stay `&self`.
     pub fn peek(&self) -> T {
-        T::decode(self.consensus())
+        if self.sealed {
+            return T::decode(self.replicas[0].word);
+        }
+        let (words, n) = self.valid_words();
+        T::decode(self.consensus(&words[..n]))
     }
 
     /// Replica-0 blind read (unguarded baseline): whatever bits are in
@@ -213,15 +240,17 @@ impl<T: GuardedValue> GuardedCell<T> {
     pub fn store(&mut self, value: T) {
         let r = Replica::sealed(value.encode());
         self.replicas = [r; REPLICAS];
+        self.sealed = true;
     }
 
     /// Whether every replica verifies and all words agree.
     pub fn clean(&self) -> bool {
-        self.replicas.iter().all(Replica::valid)
-            && self
-                .replicas
-                .iter()
-                .all(|r| r.word == self.replicas[0].word)
+        self.sealed
+            || (self.replicas.iter().all(Replica::valid)
+                && self
+                    .replicas
+                    .iter()
+                    .all(|r| r.word == self.replicas[0].word))
     }
 
     /// Verifies all replicas, repairs what a checksummed majority can
@@ -234,26 +263,26 @@ impl<T: GuardedValue> GuardedCell<T> {
     /// escalate (`!repaired`).
     pub fn scrub(&mut self, site: StateSite) -> Option<StateCorruption> {
         if self.clean() {
+            self.sealed = true;
             return None;
         }
-        let valid: Vec<u64> = self
-            .replicas
-            .iter()
-            .filter(|r| r.valid())
-            .map(|r| r.word)
-            .collect();
-        let repaired = majority(&valid).is_some() || valid.len() == 1;
-        let word = self.consensus();
+        let (words, n) = self.valid_words();
+        let valid = &words[..n];
+        let repaired = majority(valid).is_some() || valid.len() == 1;
+        let word = self.consensus(valid);
         self.replicas = [Replica::sealed(word); REPLICAS];
+        self.sealed = true;
         Some(StateCorruption { site, repaired })
     }
 
-    /// XORs bit `bit` into the selected replicas — the injection surface.
+    /// XORs bit `bit` into the selected replicas — the injection surface,
+    /// and the only operation that unseals the cell.
     ///
     /// Bits `0..64` hit the stored word; bits `64..128` hit the checksum
     /// seal (a flip landing in the metadata instead of the data). Replica
     /// `i` is hit when bit `i` of `replica_mask` is set.
     pub fn corrupt(&mut self, replica_mask: u8, bit: u8) {
+        self.sealed = false;
         let bit = bit % 128;
         for (i, r) in self.replicas.iter_mut().enumerate() {
             if replica_mask & (1 << i) == 0 {
@@ -353,6 +382,7 @@ mod tests {
         let mut d = GuardedCell::new(10u64);
         d.replicas[1] = Replica::sealed(11);
         d.replicas[2] = Replica::sealed(12);
+        d.sealed = false; // the replicas were rewritten behind the seal
         let rd = d.scrub(StateSite::PhaseState).expect("reported");
         assert!(!rd.repaired, "three valid, three-way disagreement");
     }

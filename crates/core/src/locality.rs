@@ -248,15 +248,31 @@ impl SuspicionLedger {
 
     /// Snapshots the ledger as serializable rows (checkpointing).
     pub fn to_rows(&self) -> Vec<LedgerRow> {
-        self.entries
-            .iter()
-            .map(|(&row, e)| LedgerRow {
-                row,
-                score: read_cell(self.guarded, &e.score),
-                windows: read_cell(self.guarded, &e.windows),
-                pids: e.pids.clone(),
-            })
-            .collect()
+        let mut rows = Vec::new();
+        self.to_rows_into(&mut rows);
+        rows
+    }
+
+    /// Overwrites `rows` with the ledger snapshot
+    /// [`to_rows`](Self::to_rows) returns, reusing its allocations: the
+    /// row vector and each surviving row's pid vector.
+    pub fn to_rows_into(&self, rows: &mut Vec<LedgerRow>) {
+        rows.truncate(self.entries.len());
+        let mut entries = self.entries.iter();
+        // `rows` is zipped first, so the pair that ends the zip is never
+        // pulled from `entries`: the rest go to `extend`.
+        for (r, (&row, e)) in rows.iter_mut().zip(entries.by_ref()) {
+            r.row = row;
+            r.score = read_cell(self.guarded, &e.score);
+            r.windows = read_cell(self.guarded, &e.windows);
+            r.pids.clone_from(&e.pids);
+        }
+        rows.extend(entries.map(|(&row, e)| LedgerRow {
+            row,
+            score: read_cell(self.guarded, &e.score),
+            windows: read_cell(self.guarded, &e.windows),
+            pids: e.pids.clone(),
+        }));
     }
 
     /// Rebuilds a ledger from checkpointed rows (inverse of

@@ -726,9 +726,16 @@ impl Supervisor {
     /// corruption, then tear — keeping the injector's draw schedule
     /// identical to the always-serialize implementation (a disabled
     /// source consumes nothing). Bytes are materialized only when a
-    /// fault fires — see [`StoredCheckpoint`].
+    /// fault fires — see [`StoredCheckpoint`]. A clean previous snapshot
+    /// is refreshed in place rather than rebuilt.
     fn write_checkpoint(&mut self, pmu: &Pmu) {
-        let ckpt = self.detector.checkpoint(pmu);
+        let ckpt = match self.checkpoint.take() {
+            Some(StoredCheckpoint::Clean(mut ckpt)) => {
+                self.detector.checkpoint_into(pmu, &mut ckpt);
+                ckpt
+            }
+            _ => self.detector.checkpoint(pmu),
+        };
         self.stats.checkpoints_written = self.stats.checkpoints_written.saturating_add(1);
         let corrupted = self
             .faults

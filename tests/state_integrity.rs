@@ -10,9 +10,11 @@
 //! and a repaired detector is byte-for-byte indistinguishable from one
 //! that was never corrupted, so no decision is ever computed from a
 //! corrupted value. Mirrors `torn_checkpoint.rs`, which pins the same
-//! fail-closed discipline for the checkpoint wire format.
+//! fail-closed discipline for the checkpoint wire format. Beneath them, a
+//! single cell's sealed-flag read shortcut is pinned against an
+//! always-verify model of the same protocol.
 
-use anvil::core::AnvilConfig;
+use anvil::core::{fnv1a64, AnvilConfig, GuardedCell, StateCorruption, StateSite, REPLICAS};
 use anvil::dram::{AddressMapping, CpuClock, DramGeometry};
 use anvil::pmu::{EventKind, Pmu, SamplerConfig};
 use anvil::runtime::{RuntimeConfig, SupervisedOutcome, Supervisor};
@@ -170,4 +172,129 @@ fn service_escalates_an_unrepairable_carry_to_a_restart() {
         .expect("post-restart service succeeds");
     assert!(matches!(outcome, SupervisedOutcome::Serviced { .. }));
     assert!(sup.drain_state_corruptions().is_empty());
+}
+
+/// An always-verify model of a guarded cell: every read re-hashes every
+/// seal. The cell under test answers from replica 0 while it is sealed;
+/// this model never does, so agreement pins that shortcut as exact.
+#[derive(Debug, Clone, Copy)]
+struct ReferenceCell {
+    /// `(word, seal)` per replica.
+    replicas: [(u64, u64); REPLICAS],
+}
+
+impl ReferenceCell {
+    fn new(word: u64) -> Self {
+        ReferenceCell {
+            replicas: [(word, fnv1a64(&word.to_le_bytes())); REPLICAS],
+        }
+    }
+
+    fn valid(&self) -> Vec<u64> {
+        self.replicas
+            .iter()
+            .filter(|(word, seal)| *seal == fnv1a64(&word.to_le_bytes()))
+            .map(|&(word, _)| word)
+            .collect()
+    }
+
+    fn majority(words: &[u64]) -> Option<u64> {
+        words
+            .iter()
+            .find(|&&w| words.iter().filter(|&&x| x == w).count() * 2 > words.len())
+            .copied()
+    }
+
+    fn peek(&self) -> u64 {
+        let valid = self.valid();
+        Self::majority(&valid)
+            .or_else(|| valid.first().copied())
+            .or_else(|| Self::majority(&self.replicas.map(|(word, _)| word)))
+            .unwrap_or(self.replicas[0].0)
+    }
+
+    fn clean(&self) -> bool {
+        self.valid().len() == REPLICAS && self.replicas.iter().all(|r| r.0 == self.replicas[0].0)
+    }
+
+    fn scrub(&mut self, site: StateSite) -> Option<StateCorruption> {
+        if self.clean() {
+            return None;
+        }
+        let valid = self.valid();
+        let repaired = Self::majority(&valid).is_some() || valid.len() == 1;
+        *self = ReferenceCell::new(self.peek());
+        Some(StateCorruption { site, repaired })
+    }
+
+    fn corrupt(&mut self, mask: u8, bit: u8) {
+        for (i, (word, seal)) in self.replicas.iter_mut().enumerate() {
+            if mask & (1 << i) != 0 {
+                if bit < 64 {
+                    *word ^= 1 << bit;
+                } else {
+                    *seal ^= 1 << (bit - 64);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases; enough of them that the corruptions drawn cover
+    // nearly every (replica mask, bit) pair.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Random store / corrupt / scrub / peek / clean sequences over every
+    /// replica mask (including none and all) and every word or seal bit:
+    /// the sealed-flag cell gives the same reads, the same `clean`
+    /// verdicts and the same `StateCorruption` reports as the
+    /// always-verify model. A twin that is additionally unsealed by
+    /// empty-mask corruptions (no replica changes) compares equal and
+    /// answers identically throughout, so the flag is invisible to
+    /// equality and to every observation.
+    #[test]
+    fn sealed_flag_matches_an_always_verify_decoder(
+        init in any::<u64>(),
+        // (op, stored value, (replica mask, bit), unseal the twin first);
+        // op 0 stores, 1 corrupts, 2 scrubs, 3 and 4 only observe.
+        ops in prop::collection::vec(
+            (0u8..5, any::<u64>(), (0u8..8, 0u8..128), any::<bool>()),
+            1..48,
+        ),
+    ) {
+        let site = StateSite::Carry;
+        let mut cell = GuardedCell::new(init);
+        let mut twin = GuardedCell::new(init);
+        let mut reference = ReferenceCell::new(init);
+        for &(op, value, (mask, bit), unseal) in &ops {
+            if unseal {
+                twin.corrupt(0, 0);
+            }
+            match op {
+                0 => {
+                    cell.store(value);
+                    twin.store(value);
+                    reference = ReferenceCell::new(value);
+                }
+                1 => {
+                    cell.corrupt(mask, bit);
+                    twin.corrupt(mask, bit);
+                    reference.corrupt(mask, bit);
+                }
+                2 => {
+                    let expected = reference.scrub(site);
+                    prop_assert_eq!(cell.scrub(site), expected);
+                    prop_assert_eq!(twin.scrub(site), expected);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(cell.peek(), reference.peek(), "after op {}", op);
+            prop_assert_eq!(twin.peek(), reference.peek());
+            prop_assert_eq!(cell.clean(), reference.clean(), "after op {}", op);
+            prop_assert_eq!(twin.clean(), reference.clean());
+            prop_assert_eq!(cell.raw(), reference.replicas[0].0);
+            prop_assert!(cell == twin, "equality ignores the sealed flag");
+        }
+    }
 }
