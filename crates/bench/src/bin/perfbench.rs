@@ -1,9 +1,10 @@
 //! **Perf trajectory** — measured simulator throughput, committed as a
 //! regression baseline.
 //!
-//! Times each optimized hot-path layer (cache access, DRAM
-//! activate+disturb, the epoch-skipping closed forms, platform step,
-//! full detector window, fleet domain window) and the end-to-end soak
+//! Times each optimized hot-path layer (cache access, the cache
+//! hierarchy under the `spec-quiet` address mix, DRAM activate+disturb,
+//! the DRAM epoch-skipping closed form, platform step, full detector
+//! window, fleet domain window) and the end-to-end soak
 //! workload — serial and fanned through [`anvil_bench::run_cells`] —
 //! then writes `results/BENCH_hotpath.json` so later changes can compare
 //! against its numbers instead of re-deriving them.
@@ -43,6 +44,7 @@ use anvil_dram::{
     RefreshSchedule, RowId,
 };
 use anvil_fleet::{run_machine, FleetConfig};
+use anvil_mem::{AccessKind, AllocationPolicy, FrameAllocator, Process};
 use anvil_runtime::{install_quiet_panic_hook, soak, Engine, SoakConfig, SoakSummary};
 use anvil_workloads::SpecBenchmark;
 use serde_json::json;
@@ -73,6 +75,46 @@ const REGRESSION_FRACTION: f64 = 0.25;
 /// micro-benchmarks (roughly the activation budget of one quiet 6 ms
 /// window on the paper's DDR3 timing).
 const EPOCH_OPS: u64 = 4_096;
+
+/// Accesses in the replayed `spec-quiet` cache stream (three 4 MB arenas,
+/// so the stream cycles through the same cache-resident mix the
+/// workload's windows see).
+const REPLAY_ACCESSES: usize = 1 << 18;
+
+/// A fixed, seeded physical access stream of the `spec-quiet` mix:
+/// h264ref, hmmer and perlbench (seed 1), one op each in turn, each
+/// arena mapped on contiguous frames as `Platform::add_workload` maps it.
+/// Returns `(paddr, is_write)` pairs.
+fn spec_quiet_stream() -> Vec<(u64, bool)> {
+    let mut frames = FrameAllocator::new(1 << 30, AllocationPolicy::Contiguous);
+    let mut programs: Vec<_> = [
+        SpecBenchmark::H264ref,
+        SpecBenchmark::Hmmer,
+        SpecBenchmark::Perlbench,
+    ]
+    .iter()
+    .enumerate()
+    .map(|(pid, bench)| {
+        let workload = bench.build(1);
+        let mut process = Process::new(pid as u32, workload.name());
+        let base = process
+            .mmap(workload.arena_bytes(), &mut frames)
+            .expect("three 4 MB arenas fit in 1 GiB");
+        (workload, process, base)
+    })
+    .collect();
+    (0..REPLAY_ACCESSES)
+        .map(|i| {
+            let n = programs.len();
+            let (workload, process, base) = &mut programs[i % n];
+            let op = workload.next_op();
+            let paddr = process
+                .translate(*base + op.offset)
+                .expect("ops stay inside their arena");
+            (paddr, op.kind == AccessKind::Write)
+        })
+        .collect()
+}
 
 /// Times `op` and returns its mean cost in ns: calibrates the iteration
 /// count until a batch is long enough to time reliably, then measures
@@ -199,12 +241,19 @@ fn main() {
         black_box(h.access_into(black_box(addr), false, &mut wb, &mut pf));
     });
 
-    // Epoch skipping, cache layer: one closed-form charge covering
-    // EPOCH_OPS resident hits, reported per call (per accounted access it
-    // amortizes to well under a picosecond).
+    // Cache hierarchy under the `spec-quiet` address mix: the per-op
+    // cache path the full-`Platform` SPEC workloads take, replayed
+    // without translation, PMU or scheduling around it.
+    let stream = spec_quiet_stream();
     let mut h = CacheHierarchy::new(HierarchyConfig::sandy_bridge_i5_2540m());
-    let cache_epoch = ns_per_op(budget_ms, || {
-        h.charge_epoch(black_box(EPOCH_OPS));
+    let (mut wb, mut pf) = (Vec::new(), Vec::new());
+    let mut next = 0usize;
+    let cache_spec_mix = ns_per_op(budget_ms, || {
+        let (paddr, write) = stream[next];
+        next = (next + 1) % stream.len();
+        wb.clear();
+        pf.clear();
+        black_box(h.access_into(black_box(paddr), write, &mut wb, &mut pf));
     });
 
     // DRAM: double-sided hammer (dense-arena disturbance on every
@@ -279,8 +328,8 @@ fn main() {
         / (machines * fleet_cfg.windows * u64::from(fleet_cfg.topology.domains())) as f64;
 
     eprintln!(
-        "  cache hot {cache_hot:.1} ns (epoch {cache_epoch:.1} ns/call), \
-         streaming {cache_streaming:.1} ns; \
+        "  cache hot {cache_hot:.1} ns, streaming {cache_streaming:.1} ns, \
+         spec-quiet mix {cache_spec_mix:.1} ns; \
          dram hammer {dram_hammer:.1} ns, sweep {dram_sweep:.1} ns, \
          epoch {dram_epoch:.3} ns vs per-op {dram_epoch_per_op:.1} ns; \
          step {step:.1} ns, window {:.1} us; fleet domain window {fleet_window_us:.1} us",
@@ -326,6 +375,7 @@ fn main() {
         "serial_windows_per_sec": round1(serial),
         "parallel_windows_per_sec": round1(parallel),
         "fleet_domain_window_us": round1(fleet_window_us),
+        "cache_hierarchy_access_ns": round1(cache_spec_mix),
     }));
 
     write_json(
@@ -337,6 +387,7 @@ fn main() {
             "layers_ns_per_op": {
                 "cache_access_hot": round1(cache_hot),
                 "cache_access_streaming": round1(cache_streaming),
+                "cache_hierarchy_access_ns": round1(cache_spec_mix),
                 "dram_activate_disturb_hammer": round1(dram_hammer),
                 "dram_activate_disturb_sweep": round1(dram_sweep),
                 "platform_step": round1(step),
@@ -344,7 +395,6 @@ fn main() {
                 "fleet_domain_window_us": round1(fleet_window_us),
                 "epoch_skip": {
                     "epoch_ops": EPOCH_OPS,
-                    "cache_charge_epoch_call": round3(cache_epoch),
                     "dram_activate_epoch_per_activation": round3(dram_epoch),
                     "dram_activate_per_op_per_activation": round1(dram_epoch_per_op),
                     "soak_window_benign_event_ns": round1(1e9 / serial),

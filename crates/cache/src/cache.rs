@@ -1,23 +1,13 @@
 //! A single set-associative cache.
 
 use crate::config::CacheConfig;
-use crate::policy::ReplacementPolicy;
+use crate::policy::{Policy, ReplacementPolicy};
 use crate::stats::CacheStats;
 
-/// One cache line's bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    /// Line address (physical address >> line shift).
-    line: u64,
-    valid: bool,
-    dirty: bool,
-}
-
-const INVALID: Entry = Entry {
-    line: 0,
-    valid: false,
-    dirty: false,
-};
+/// Tag of an empty way. A line tag is `paddr >> line_shift` with
+/// `line_shift >= 1` ([`CacheConfig::validate`] requires lines of at
+/// least two bytes), so no line can carry this tag.
+const INVALID: u64 = u64::MAX;
 
 /// A line evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +55,11 @@ pub struct Cache {
     ways: usize,
     line_shift: u32,
     latency: u64,
-    entries: Vec<Entry>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// One line tag per way, set-major; [`INVALID`] marks an empty way.
+    tags: Vec<u64>,
+    /// One dirty bit per way, one mask per set.
+    dirty: Vec<u64>,
+    policy: Policy,
     stats: CacheStats,
 }
 
@@ -86,7 +79,8 @@ impl Cache {
             ways: config.ways,
             line_shift: config.line_bytes.trailing_zeros(),
             latency: config.latency,
-            entries: vec![INVALID; sets * config.ways],
+            tags: vec![INVALID; sets * config.ways],
+            dirty: vec![0; sets],
             policy: config.policy.build(sets, config.ways),
             stats: CacheStats::default(),
         }
@@ -117,22 +111,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Bulk-charges `n` hits to resident lines in closed form — the
-    /// event-driven engine's alternative to `n` individual
-    /// [`access`](Self::access) calls against lines already present.
-    ///
-    /// Observationally identical to the per-access path **only when the
-    /// epoch's footprint is resident and recency-stable**: a hit neither
-    /// fills nor evicts, and repeated hits to an already
-    /// most-recently-used line leave the replacement state fixed, so the
-    /// only observable effect is the two stat counters. An epoch whose
-    /// accesses could miss, rotate recency across ways, or dirty new
-    /// lines must fall back to per-access stepping.
-    pub fn charge_resident_hits(&mut self, n: u64) {
-        self.stats.accesses = self.stats.accesses.saturating_add(n);
-        self.stats.hits = self.stats.hits.saturating_add(n);
-    }
-
     /// The set index `paddr` maps to.
     pub fn set_of(&self, paddr: u64) -> usize {
         ((paddr >> self.line_shift) & (self.sets as u64 - 1)) as usize
@@ -142,26 +120,25 @@ impl Cache {
         paddr >> self.line_shift
     }
 
+    /// The way of `set` whose tag is `line` (pass [`INVALID`] for the
+    /// lowest empty way).
     fn find(&self, set: usize, line: u64) -> Option<usize> {
-        let base = set * self.ways;
-        (0..self.ways).find(|&w| {
-            let e = &self.entries[base + w];
-            e.valid && e.line == line
-        })
+        self.tags[set * self.ways..(set + 1) * self.ways]
+            .iter()
+            .position(|&t| t == line)
     }
 
     /// Looks up `paddr`, filling on a miss. `write` marks the line dirty.
     pub fn access(&mut self, paddr: u64, write: bool) -> CacheAccess {
         let line = self.line_of(paddr);
         let set = self.set_of(paddr);
-        let base = set * self.ways;
         self.stats.accesses = self.stats.accesses.saturating_add(1);
 
         if let Some(way) = self.find(set, line) {
             self.stats.hits = self.stats.hits.saturating_add(1);
             self.policy.on_hit(set, way);
             if write {
-                self.entries[base + way].dirty = true;
+                self.dirty[set] |= 1 << way;
             }
             return CacheAccess {
                 hit: true,
@@ -170,30 +147,27 @@ impl Cache {
         }
 
         // Miss: prefer an invalid way, otherwise ask the policy.
-        let (way, evicted) =
-            if let Some(w) = (0..self.ways).find(|&w| !self.entries[base + w].valid) {
-                (w, None)
-            } else {
-                let w = self.policy.victim(set);
-                debug_assert!(w < self.ways, "policy returned way out of range");
-                let old = self.entries[base + w];
-                self.stats.evictions = self.stats.evictions.saturating_add(1);
-                if old.dirty {
-                    self.stats.dirty_evictions = self.stats.dirty_evictions.saturating_add(1);
-                }
-                (
-                    w,
-                    Some(Evicted {
-                        paddr: old.line << self.line_shift,
-                        dirty: old.dirty,
-                    }),
-                )
-            };
-        self.entries[base + way] = Entry {
-            line,
-            valid: true,
-            dirty: write,
+        let (way, evicted) = if let Some(w) = self.find(set, INVALID) {
+            (w, None)
+        } else {
+            let w = self.policy.victim(set);
+            debug_assert!(w < self.ways, "policy returned way out of range");
+            let old = self.tags[set * self.ways + w];
+            let dirty = (self.dirty[set] >> w) & 1 == 1;
+            self.stats.evictions = self.stats.evictions.saturating_add(1);
+            if dirty {
+                self.stats.dirty_evictions = self.stats.dirty_evictions.saturating_add(1);
+            }
+            (
+                w,
+                Some(Evicted {
+                    paddr: old << self.line_shift,
+                    dirty,
+                }),
+            )
         };
+        self.tags[set * self.ways + way] = line;
+        self.dirty[set] = (self.dirty[set] & !(1 << way)) | (u64::from(write) << way);
         self.policy.on_fill(set, way);
         CacheAccess {
             hit: false,
@@ -206,17 +180,22 @@ impl Cache {
         self.find(self.set_of(paddr), self.line_of(paddr)).is_some()
     }
 
+    /// Empties `way` of `set`, returning its dirty flag.
+    fn evict_way(&mut self, set: usize, way: usize) -> bool {
+        let dirty = (self.dirty[set] >> way) & 1 == 1;
+        self.tags[set * self.ways + way] = INVALID;
+        self.dirty[set] &= !(1 << way);
+        self.stats.invalidations = self.stats.invalidations.saturating_add(1);
+        self.policy.on_invalidate(set, way);
+        dirty
+    }
+
     /// Invalidates `paddr`'s line if present. Returns the line's dirty
     /// flag (`Some(dirty)`) or `None` if it was not cached.
     pub fn invalidate(&mut self, paddr: u64) -> Option<bool> {
         let set = self.set_of(paddr);
         let way = self.find(set, self.line_of(paddr))?;
-        let e = &mut self.entries[set * self.ways + way];
-        let dirty = e.dirty;
-        *e = INVALID;
-        self.stats.invalidations = self.stats.invalidations.saturating_add(1);
-        self.policy.on_invalidate(set, way);
-        Some(dirty)
+        Some(self.evict_way(set, way))
     }
 
     /// Invalidates every line, returning the dirty ones' addresses.
@@ -224,14 +203,9 @@ impl Cache {
         let mut dirty = Vec::new();
         for set in 0..self.sets {
             for way in 0..self.ways {
-                let e = &mut self.entries[set * self.ways + way];
-                if e.valid {
-                    if e.dirty {
-                        dirty.push(e.line << self.line_shift);
-                    }
-                    *e = INVALID;
-                    self.stats.invalidations = self.stats.invalidations.saturating_add(1);
-                    self.policy.on_invalidate(set, way);
+                let line = self.tags[set * self.ways + way];
+                if line != INVALID && self.evict_way(set, way) {
+                    dirty.push(line << self.line_shift);
                 }
             }
         }
@@ -240,7 +214,7 @@ impl Cache {
 
     /// Number of valid lines currently resident (diagnostic).
     pub fn resident_lines(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }
 

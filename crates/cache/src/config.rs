@@ -48,8 +48,15 @@ impl CacheConfig {
         if self.ways == 0 || self.line_bytes == 0 || self.capacity_bytes == 0 {
             return Err("cache dimensions must be non-zero".into());
         }
-        if !self.line_bytes.is_power_of_two() {
-            return Err("line size must be a power of two".into());
+        // The per-set dirty mask and packed replacement state are one
+        // `u64` per set.
+        if self.ways > 64 {
+            return Err(format!("at most 64 ways are supported, got {}", self.ways));
+        }
+        // With lines of two bytes or more no line tag reaches `u64::MAX`,
+        // which the cache uses to mark an empty way.
+        if !self.line_bytes.is_power_of_two() || self.line_bytes < 2 {
+            return Err("line size must be a power of two of at least 2 bytes".into());
         }
         let sets = self.sets();
         if sets == 0 {
@@ -215,6 +222,51 @@ mod tests {
         let mut c = HierarchyConfig::tiny();
         c.l3.capacity_bytes = c.l1.capacity_bytes / 2;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_more_than_64_ways_at_the_faulty_level() {
+        for level in ["L1", "L2", "L3"] {
+            let mut c = HierarchyConfig::tiny();
+            let cache = match level {
+                "L1" => &mut c.l1,
+                "L2" => &mut c.l2,
+                _ => &mut c.l3,
+            };
+            cache.ways = 65;
+            cache.capacity_bytes = 65 * 64 * 16;
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with(level), "{level}: {err}");
+            assert!(err.contains("at most 64 ways"), "{level}: {err}");
+        }
+    }
+
+    #[test]
+    fn sixty_four_ways_and_two_byte_lines_are_the_limits() {
+        let wide = CacheConfig {
+            capacity_bytes: 64 * 64 * 4,
+            ways: 64,
+            line_bytes: 64,
+            policy: PolicyKind::BitPlru,
+            latency: 4,
+        };
+        wide.validate().unwrap();
+        let narrow = CacheConfig {
+            capacity_bytes: 2 * 4 * 8,
+            ways: 4,
+            line_bytes: 2,
+            ..wide
+        };
+        narrow.validate().unwrap();
+        let byte_lines = CacheConfig {
+            line_bytes: 1,
+            capacity_bytes: 4 * 8,
+            ..narrow
+        };
+        assert!(byte_lines
+            .validate()
+            .unwrap_err()
+            .contains("at least 2 bytes"));
     }
 
     #[test]

@@ -130,20 +130,6 @@ impl CacheHierarchy {
         self.config.l3.ways
     }
 
-    /// Bulk-charges one epoch of `n` L1-resident hits in closed form —
-    /// the event-driven engine's alternative to `n` individual
-    /// [`access_into`](Self::access_into) calls that would all hit L1.
-    ///
-    /// Valid under the same condition as
-    /// [`Cache::charge_resident_hits`]: the epoch's footprint stays
-    /// L1-resident and recency-stable, so nothing below L1 is touched
-    /// and the per-access path would have produced exactly these stat
-    /// increments with no writebacks or prefetch fills. Any epoch that
-    /// could miss L1 must fall back to per-access stepping.
-    pub fn charge_epoch(&mut self, n: u64) {
-        self.l1.charge_resident_hits(n);
-    }
-
     /// Routes one access through L1 -> L2 -> L3.
     pub fn access(&mut self, paddr: u64, write: bool) -> HierarchyAccess {
         let mut writebacks = Vec::new();
@@ -479,29 +465,5 @@ mod prefetch_tests {
             r.prefetch_fills.is_empty(),
             "no DRAM fill needed for an already-cached prefetch"
         );
-    }
-
-    #[test]
-    fn epoch_charge_matches_per_access_resident_hits() {
-        let mk = || {
-            let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
-            h.access(0x8000, false); // fill: the epoch's resident line
-            h
-        };
-        let mut per_op = mk();
-        let mut wb = Vec::new();
-        let mut pf = Vec::new();
-        for _ in 0..10_000 {
-            let (level, _) = per_op.access_into(0x8000, false, &mut wb, &mut pf);
-            assert_eq!(level, HitLevel::L1);
-        }
-        let mut epoch = mk();
-        epoch.charge_epoch(10_000);
-        assert_eq!(per_op.stats(), epoch.stats());
-        assert!(wb.is_empty() && pf.is_empty());
-        // And the closed form left the replacement state equivalent: the
-        // next access still hits L1 in both.
-        assert_eq!(per_op.access(0x8000, false).level, HitLevel::L1);
-        assert_eq!(epoch.access(0x8000, false).level, HitLevel::L1);
     }
 }

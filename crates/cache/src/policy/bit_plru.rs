@@ -67,10 +67,14 @@ impl ReplacementPolicy for BitPlru {
 
     fn victim(&mut self, set: usize) -> usize {
         // Lowest-indexed way with a clear MRU bit. The touch rule
-        // guarantees at least one bit is clear whenever ways > 1.
+        // guarantees at least one bit is clear whenever ways > 1; a
+        // one-way set keeps its only bit set and has only way 0 to give.
         let clear = !self.mru[set] & self.full_mask();
-        debug_assert!(clear != 0, "Bit-PLRU invariant: some bit is clear");
-        clear.trailing_zeros() as usize
+        if clear == 0 {
+            0
+        } else {
+            clear.trailing_zeros() as usize
+        }
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
@@ -139,6 +143,15 @@ mod tests {
         }
         // Filling all 64 triggered the saturation rule at the last fill.
         assert_eq!(p.mru_bits(0), 1u64 << 63);
+        assert_eq!(p.victim(0), 0);
+    }
+
+    #[test]
+    fn one_way_set_always_yields_way_zero() {
+        let mut p = BitPlru::new(1, 1);
+        p.on_fill(0, 0);
+        assert_eq!(p.victim(0), 0);
+        p.on_hit(0, 0);
         assert_eq!(p.victim(0), 0);
     }
 

@@ -50,7 +50,7 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
 }
 
 /// Selects a replacement policy; the serializable counterpart of the
-/// trait objects used at runtime.
+/// [`Policy`] instances used at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// True least-recently-used.
@@ -76,15 +76,15 @@ impl PolicyKind {
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
-    pub fn build(&self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
+    pub fn build(&self, sets: usize, ways: usize) -> Policy {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
         match *self {
-            PolicyKind::TrueLru => Box::new(TrueLru::new(sets, ways)),
-            PolicyKind::BitPlru => Box::new(BitPlru::new(sets, ways)),
-            PolicyKind::Nru => Box::new(Nru::new(sets, ways)),
-            PolicyKind::TreePlru => Box::new(TreePlru::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyKind::Random { seed } => Box::new(RandomPolicy::new(sets, ways, seed)),
+            PolicyKind::TrueLru => Policy::TrueLru(TrueLru::new(sets, ways)),
+            PolicyKind::BitPlru => Policy::BitPlru(BitPlru::new(sets, ways)),
+            PolicyKind::Nru => Policy::Nru(Nru::new(sets, ways)),
+            PolicyKind::TreePlru => Policy::TreePlru(TreePlru::new(sets, ways)),
+            PolicyKind::Srrip => Policy::Srrip(Srrip::new(sets, ways)),
+            PolicyKind::Random { seed } => Policy::Random(RandomPolicy::new(sets, ways, seed)),
         }
     }
 
@@ -99,6 +99,65 @@ impl PolicyKind {
             PolicyKind::TreePlru,
             PolicyKind::Srrip,
         ]
+    }
+}
+
+/// A built replacement policy: one variant per [`PolicyKind`], dispatched
+/// by `match` so the cache's per-access calls inline instead of going
+/// through a vtable.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// True least-recently-used.
+    TrueLru(TrueLru),
+    /// MRU-bit pseudo-LRU.
+    BitPlru(BitPlru),
+    /// Not-recently-used.
+    Nru(Nru),
+    /// Binary-tree pseudo-LRU.
+    TreePlru(TreePlru),
+    /// Static RRIP.
+    Srrip(Srrip),
+    /// Seeded uniform random.
+    Random(RandomPolicy),
+}
+
+/// Forwards one trait method to whichever policy `$self` holds.
+macro_rules! dispatch {
+    ($self:ident, $p:ident => $call:expr) => {
+        match $self {
+            Policy::TrueLru($p) => $call,
+            Policy::BitPlru($p) => $call,
+            Policy::Nru($p) => $call,
+            Policy::TreePlru($p) => $call,
+            Policy::Srrip($p) => $call,
+            Policy::Random($p) => $call,
+        }
+    };
+}
+
+impl ReplacementPolicy for Policy {
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_hit(set, way));
+    }
+
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_fill(set, way));
+    }
+
+    #[inline]
+    fn victim(&mut self, set: usize) -> usize {
+        dispatch!(self, p => p.victim(set))
+    }
+
+    #[inline]
+    fn on_invalidate(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_invalidate(set, way));
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(self, p => p.name())
     }
 }
 

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page size used throughout (4 KB, as on the paper's test system).
 pub const PAGE_SIZE: u64 = 4096;
@@ -117,10 +118,34 @@ impl std::fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
+/// Hashes the page table's `u64` page numbers with one multiply by an odd
+/// 64-bit constant instead of `SipHash`. Keys are simulator-chosen, so there
+/// is no collision flooding to resist; consecutive page numbers land in
+/// distinct buckets (multiplication by an odd constant permutes the low
+/// bits) and the high bits the table uses as tags are well mixed.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A single-level page table mapping virtual page numbers to frames.
 #[derive(Debug, Default, Clone)]
 pub struct PageTable {
-    entries: HashMap<u64, u64>,
+    entries: HashMap<u64, u64, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageTable {
